@@ -1,7 +1,8 @@
 // Microbenchmarks for the hot substrate paths (google-benchmark): hashing,
-// RLP, the event queue, winner sampling, tree insertion, and a full
-// block-gossip round. These guard the simulator's events/second budget and
-// double as the ablation harness for DESIGN.md's engine choices.
+// RLP, the event queue, winner sampling, tree insertion, a full block-gossip
+// round, and a tx-relay flush round. These guard the simulator's
+// events/second budget and double as the ablation harness for DESIGN.md's
+// engine choices.
 //
 // Besides the console table, the binary writes a curated machine-readable
 // summary to BENCH_engine.json (path overridable via ETHSIM_BENCH_JSON) so
@@ -280,6 +281,61 @@ void BM_GossipBlockBroadcast(benchmark::State& state) {
   state.SetItemsProcessed(total_events);
 }
 BENCHMARK(BM_GossipBlockBroadcast)->Unit(benchmark::kMillisecond);
+
+// Tx relay round trip on a 25-peer hub: transactions enter through the
+// public SubmitTransaction path in 64 waves of 32, and each wave's events
+// run to completion -- the hub's FlushTxBroadcast, 25 DeliverTransactions
+// (known-set, seen-set and pool admission per tx) and the spokes' flushes,
+// which find every tx already known to the hub. 2,048 distinct txs overrun
+// the 1,024-entry known-tx caps, so the later waves evict. items/sec ==
+// tx deliveries (txs x peers)/sec; guards the per-peer known-set cost that
+// dominates end-to-end gossip runs.
+void BM_TxRelayFlush(benchmark::State& state) {
+  constexpr std::size_t kPeers = 25;
+  constexpr std::size_t kWaves = 64;
+  constexpr std::size_t kWaveTxs = 32;
+  std::vector<chain::Transaction> txs;
+  for (std::size_t i = 0; i < kWaves * kWaveTxs; ++i) {
+    Address sender;
+    sender.bytes[0] = static_cast<std::uint8_t>(i % 256);
+    txs.push_back(chain::MakeTransaction(sender, i / 256, sender, 1,
+                                         1 + i % 50));
+  }
+  std::int64_t total_deliveries = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    sim::Simulator simulator;
+    net::Network network{simulator, Rng{7}, net::NetworkParams{}};
+    chain::BlockArena arena;
+    chain::Block g;
+    g.header.difficulty = 1000;
+    g.Seal();
+    const chain::BlockPtr genesis = arena.Adopt(std::move(g));
+    Rng ids{11};
+    std::vector<std::unique_ptr<eth::EthNode>> nodes;
+    for (std::size_t i = 0; i <= kPeers; ++i) {
+      const net::HostId host =
+          network.AddHost({net::Region::WesternEurope, 1e9});
+      nodes.push_back(std::make_unique<eth::EthNode>(
+          simulator, network, host, p2p::RandomNodeId(ids), genesis,
+          eth::NodeConfig{}, ids.Fork(static_cast<std::uint64_t>(i))));
+    }
+    eth::EthNode& hub = *nodes[0];
+    for (std::size_t i = 1; i <= kPeers; ++i)
+      eth::EthNode::Connect(hub, *nodes[i]);
+    state.ResumeTiming();
+
+    for (std::size_t wave = 0; wave < kWaves; ++wave) {
+      for (std::size_t i = 0; i < kWaveTxs; ++i)
+        hub.SubmitTransaction(txs[wave * kWaveTxs + i]);
+      simulator.RunAll();
+    }
+    benchmark::DoNotOptimize(nodes[kPeers]->pool().size());
+    total_deliveries += static_cast<std::int64_t>(txs.size() * kPeers);
+  }
+  state.SetItemsProcessed(total_deliveries);
+}
+BENCHMARK(BM_TxRelayFlush)->Unit(benchmark::kMillisecond);
 
 // Plan-mode workload generation end to end: a mixed plan (Poisson with
 // replace-by-fee, Zipf hot accounts, flash crowd, closed-loop clients) runs

@@ -1,5 +1,7 @@
 #include "core/config.hpp"
 
+#include <utility>
+
 namespace ethsim::core {
 
 std::string ExperimentConfig::Validate() const {
@@ -19,6 +21,18 @@ std::string ExperimentConfig::Validate() const {
     return "net.drop_prob must be in [0, 1]";
   if (net_params.slow_path_prob < 0 || net_params.slow_path_prob > 1)
     return "net.slow_path_prob must be in [0, 1]";
+  // A zero-cap known set would accept every Insert: a node with
+  // seen_txs_cap = 0 re-relays every transaction forever.
+  for (const auto& [name, node] :
+       {std::pair{"node_config", &node_config},
+        std::pair{"observer_config", &observer_config},
+        std::pair{"gateway_config", &gateway_config}}) {
+    const std::string prefix = name;
+    if (node->known_txs_cap == 0) return prefix + ".known_txs_cap must be >= 1";
+    if (node->known_blocks_cap == 0)
+      return prefix + ".known_blocks_cap must be >= 1";
+    if (node->seen_txs_cap == 0) return prefix + ".seen_txs_cap must be >= 1";
+  }
   if (!workload_plan.empty()) {
     if (std::string problem = workload_plan.Validate(); !problem.empty())
       return "workload_plan: " + problem;

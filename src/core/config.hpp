@@ -98,9 +98,10 @@ struct ExperimentConfig {
 
   // Structural validation of everything a run would otherwise only trip over
   // mid-simulation: probabilities outside [0, 1] (they flow straight into
-  // Rng::NextBool), negative rates/means, and malformed workload/fault
-  // plans. Returns an empty string when well-formed, else a description of
-  // the first violation. Experiment::Build() rejects invalid configs.
+  // Rng::NextBool), negative rates/means, zero known-set caps, and malformed
+  // workload/fault plans. Returns an empty string when well-formed, else a
+  // description of the first violation. Experiment::Build() rejects invalid
+  // configs.
   std::string Validate() const;
 };
 

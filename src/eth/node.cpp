@@ -36,10 +36,7 @@ EthNode::EthNode(sim::Simulator& simulator, net::Network& network,
       tree_(std::move(genesis)),
       seen_txs_(config.seen_txs_cap) {
   // Peer slots are bounded by max_peers; reserving up front keeps Connect from
-  // reallocating the vector. That matters more than it looks: BoundedSet holds
-  // a deque, whose libstdc++ move constructor is not noexcept, so vector
-  // growth copies every existing peer's known-block/known-tx sets instead of
-  // moving them.
+  // reallocating the vector.
   peers_.reserve(config_.max_peers);
 }
 
@@ -110,7 +107,7 @@ bool EthNode::AddPeer(EthNode* node) {
   if (peers_.size() >= config_.max_peers) return false;
   if (FindPeer(node) != nullptr) return false;
   peers_.push_back(Peer{node, BoundedSet<Hash32>(config_.known_blocks_cap),
-                        BoundedSet<Hash32>(config_.known_txs_cap)});
+                        BoundedSet<std::uint32_t>(config_.known_txs_cap)});
   return true;
 }
 
@@ -168,6 +165,7 @@ void EthNode::GoOffline() {
   importing_.clear();
   requested_.clear();
   tx_broadcast_queue_.clear();
+  tx_broadcast_ids_.clear();
   flush_scheduled_ = false;
   ++epoch_;  // invalidate every callback scheduled before the crash
   online_ = false;
@@ -229,13 +227,14 @@ void EthNode::RecordChainEdit(const chain::BlockTree::AddResult& result,
 
 void EthNode::SubmitTransaction(const chain::Transaction& tx) {
   if (!online_) return;  // a crashed node accepts no local submissions
-  if (!seen_txs_.Insert(tx.hash)) return;
+  const std::uint32_t id = net_.tx_ids().Intern(tx.hash);
+  if (!seen_txs_.Insert(id)) return;
   const auto outcome = pool_.Add(tx);
   if (txprov_ != nullptr) [[unlikely]]
     txprov_->RecordPoolOutcome(host_, tx.hash, sim_.Now().micros(),
                                static_cast<obs::TxPoolOutcome>(outcome),
                                tx.gas_price);
-  QueueTxForBroadcast(tx);
+  QueueTxForBroadcast(tx, id);
 }
 
 void EthNode::InjectMinedBlock(chain::BlockPtr block) {
@@ -363,10 +362,12 @@ void EthNode::DeliverTransactions(EthNode* from, const TxBatchView& batch) {
   Peer* peer = FindPeer(from);
   if (tx_received_count_ != nullptr) [[unlikely]]
     tx_received_count_->Add(batch.count());
+  chain::HashInterner& tx_ids = net_.tx_ids();
   const auto process = [&](const chain::Transaction& tx) {
     if (sink_ != nullptr) sink_->OnTransactionMessage(tx);
-    if (peer != nullptr) peer->known_txs.Insert(tx.hash);
-    if (!seen_txs_.Insert(tx.hash)) return;
+    const std::uint32_t id = tx_ids.Intern(tx.hash);
+    if (peer != nullptr) peer->known_txs.Insert(id);
+    if (!seen_txs_.Insert(id)) return;
     // Post-dedupe = this node's first reception of the transaction. The
     // recorder filters to vantage hosts itself.
     if (txprov_ != nullptr) [[unlikely]]
@@ -376,7 +377,7 @@ void EthNode::DeliverTransactions(EthNode* from, const TxBatchView& batch) {
       txprov_->RecordPoolOutcome(host_, tx.hash, sim_.Now().micros(),
                                  static_cast<obs::TxPoolOutcome>(outcome),
                                  tx.gas_price);
-    QueueTxForBroadcast(tx);
+    QueueTxForBroadcast(tx, id);
   };
   const auto& txs = *batch.txs;
   if (batch.subset) {
@@ -582,8 +583,10 @@ void EthNode::SendAnnouncement(Peer& peer, const chain::BlockPtr& block) {
 
 // --- transaction gossip ------------------------------------------------------
 
-void EthNode::QueueTxForBroadcast(const chain::Transaction& tx) {
+void EthNode::QueueTxForBroadcast(const chain::Transaction& tx,
+                                  std::uint32_t id) {
   tx_broadcast_queue_.push_back(tx);
+  tx_broadcast_ids_.push_back(id);
   if (!flush_scheduled_) {
     flush_scheduled_ = true;
     sim_.Schedule(config_.tx_flush_interval, [this, epoch = epoch_] {
@@ -619,11 +622,9 @@ void EthNode::FlushTxBroadcast() {
     flush_subset_.clear();
     std::size_t bytes = kTxBatchOverhead;
     for (std::uint32_t i = 0; i < queue.size(); ++i) {
-      const auto& tx = queue[i];
-      if (peer.known_txs.Contains(tx.hash)) continue;
-      peer.known_txs.Insert(tx.hash);
+      if (!peer.known_txs.Insert(tx_broadcast_ids_[i])) continue;
       flush_subset_.push_back(i);
-      bytes += tx.EncodedSize();
+      bytes += queue[i].EncodedSize();
     }
     if (flush_subset_.empty()) continue;
     TxBatchView view;
@@ -640,6 +641,7 @@ void EthNode::FlushTxBroadcast() {
                 target->DeliverTransactions(self, view);
               });
   }
+  tx_broadcast_ids_.clear();
 }
 
 }  // namespace ethsim::eth

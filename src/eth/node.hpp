@@ -164,10 +164,13 @@ class EthNode {
   void DeliverTransactions(EthNode* from, const TxBatchView& batch);
 
  private:
+  // Tx relay state is keyed by the run's dense tx ids (net_.tx_ids()), not
+  // by Hash32: 4-byte keys, no 32-byte compares on the flush loop. The ids
+  // stay inside EthNode (DESIGN.md §12, "Relay-state layout").
   struct Peer {
     EthNode* node = nullptr;
     BoundedSet<Hash32> known_blocks;
-    BoundedSet<Hash32> known_txs;
+    BoundedSet<std::uint32_t> known_txs;
   };
 
   Peer* FindPeer(const EthNode* node);
@@ -197,7 +200,7 @@ class EthNode {
   void RecordChainEdit(const chain::BlockTree::AddResult& result,
                        bool new_head);
 
-  void QueueTxForBroadcast(const chain::Transaction& tx);
+  void QueueTxForBroadcast(const chain::Transaction& tx, std::uint32_t id);
   void FlushTxBroadcast();
 
   void SendNewBlock(Peer& peer, const chain::BlockPtr& block);
@@ -219,11 +222,12 @@ class EthNode {
   chain::TxPool pool_;
   std::vector<Peer> peers_;
 
-  BoundedSet<Hash32> seen_txs_;
+  BoundedSet<std::uint32_t> seen_txs_;  // tx ids
   std::unordered_set<Hash32> importing_;  // full block received, pre-import
   std::unordered_set<Hash32> requested_;  // GetBlock in flight
 
   std::vector<chain::Transaction> tx_broadcast_queue_;
+  std::vector<std::uint32_t> tx_broadcast_ids_;  // tx id per queue entry
   bool flush_scheduled_ = false;
   std::uint64_t invalid_blocks_ = 0;
 

@@ -11,6 +11,7 @@
 #include <string_view>
 #include <vector>
 
+#include "chain/interner.hpp"
 #include "common/random.hpp"
 #include "common/time.hpp"
 #include "net/geo.hpp"
@@ -110,6 +111,12 @@ class Network {
 
   sim::Simulator& simulator() { return sim_; }
 
+  // Dense ids for transaction hashes, one table per run (each run or sweep
+  // thread owns its Network). EthNode keys its tx relay dedupe state by
+  // these ids; they are relay-internal and never reach an output, a digest,
+  // a log or an RNG draw. Grows by about 40 B per distinct transaction.
+  chain::HashInterner& tx_ids() { return tx_ids_; }
+
   // --- fault substrate (driven by fault::FaultController) ---------------
   // Regional partition: hosts whose region bit is set in `side_a_mask` form
   // one side; while active, cross-side sends are dropped deterministically
@@ -180,6 +187,7 @@ class Network {
   Rng rng_;
   NetworkParams params_;
   std::vector<HostSpec> hosts_;
+  chain::HashInterner tx_ids_;
   // Last scheduled delivery time per directed pair, for FIFO clamping.
   // One dense row per source host, indexed by destination and grown lazily on
   // first send — a single array load on the hot path instead of a hash-map

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "analysis/commit.hpp"
 #include "analysis/demand.hpp"
@@ -132,6 +134,46 @@ TEST(ConfigValidate, RejectsMalformedPlans) {
   core::ExperimentConfig cfg = core::presets::SmallStudy(30);
   cfg.workload_plan.Poisson("bad", -1.0, 10);
   EXPECT_NE(cfg.Validate().find("workload_plan"), std::string::npos);
+}
+
+// Zeroes one known-set cap in each of the three node configs in turn and
+// returns the Validate() message for each.
+template <typename Field>
+std::vector<std::string> ZeroCapMessages(Field field) {
+  std::vector<std::string> messages;
+  for (eth::NodeConfig core::ExperimentConfig::*node :
+       {&core::ExperimentConfig::node_config,
+        &core::ExperimentConfig::observer_config,
+        &core::ExperimentConfig::gateway_config}) {
+    core::ExperimentConfig cfg = core::presets::SmallStudy(30);
+    (cfg.*node).*field = 0;
+    messages.push_back(cfg.Validate());
+  }
+  return messages;
+}
+
+TEST(ConfigValidate, RejectsZeroKnownTxsCap) {
+  EXPECT_EQ(ZeroCapMessages(&eth::NodeConfig::known_txs_cap),
+            (std::vector<std::string>{
+                "node_config.known_txs_cap must be >= 1",
+                "observer_config.known_txs_cap must be >= 1",
+                "gateway_config.known_txs_cap must be >= 1"}));
+}
+
+TEST(ConfigValidate, RejectsZeroKnownBlocksCap) {
+  EXPECT_EQ(ZeroCapMessages(&eth::NodeConfig::known_blocks_cap),
+            (std::vector<std::string>{
+                "node_config.known_blocks_cap must be >= 1",
+                "observer_config.known_blocks_cap must be >= 1",
+                "gateway_config.known_blocks_cap must be >= 1"}));
+}
+
+TEST(ConfigValidate, RejectsZeroSeenTxsCap) {
+  EXPECT_EQ(ZeroCapMessages(&eth::NodeConfig::seen_txs_cap),
+            (std::vector<std::string>{
+                "node_config.seen_txs_cap must be >= 1",
+                "observer_config.seen_txs_cap must be >= 1",
+                "gateway_config.seen_txs_cap must be >= 1"}));
 }
 
 TEST(ConfigValidate, RunRefusesAnInvalidConfig) {
