@@ -12,21 +12,13 @@
 #include "common/types.hpp"
 #include "core/experiment.hpp"
 #include "core/provenance.hpp"
+#include "obs/json.hpp"
 
 namespace ethsim::check {
 
 namespace {
 
-// Same minimal escaping as the manifest writer (quotes and backslashes; the
-// strings we emit are oracle names and equation dumps, never control chars).
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
+using obs::JsonEscape;
 
 struct ScenarioFate {
   bool failed = false;
@@ -207,8 +199,8 @@ bool WriteRepro(const std::string& path, const ReproSpec& spec,
 
 namespace {
 
-// Line-scraping JSON readers, the manifest-reader idiom: the writer above
-// owns the exact shape, so a full JSON parser buys nothing.
+// Numeric counterpart of obs::JsonStringField: the writer above owns the
+// exact shape, so a full JSON parser buys nothing.
 bool ScrapeU64(const std::string& text, const std::string& key,
                std::uint64_t* value) {
   const auto pos = text.find("\"" + key + "\":");
@@ -217,18 +209,6 @@ bool ScrapeU64(const std::string& text, const std::string& key,
   char* end = nullptr;
   *value = std::strtoull(cursor, &end, 10);
   return end != cursor;
-}
-
-bool ScrapeString(const std::string& text, const std::string& key,
-                  std::string* value) {
-  const auto pos = text.find("\"" + key + "\":");
-  if (pos == std::string::npos) return false;
-  const auto open = text.find('"', pos + key.size() + 3);
-  if (open == std::string::npos) return false;
-  const auto close = text.find('"', open + 1);
-  if (close == std::string::npos) return false;
-  *value = text.substr(open + 1, close - open - 1);
-  return true;
 }
 
 }  // namespace
@@ -246,12 +226,12 @@ bool ReadRepro(const std::string& path, ReproSpec* spec, std::string* error) {
   std::uint64_t u = 0;
   if (!ScrapeU64(text, "fuzz_seed", &spec->fuzz_seed) ||
       !ScrapeU64(text, "index", &spec->index) ||
-      !ScrapeString(text, "kind", &spec->kind) ||
-      !ScrapeString(text, "name", &spec->name)) {
+      !obs::JsonStringField(text, "kind", &spec->kind) ||
+      !obs::JsonStringField(text, "name", &spec->name)) {
     if (error != nullptr) *error = path + " is not a repro file";
     return false;
   }
-  ScrapeString(text, "config_digest", &spec->config_digest);
+  obs::JsonStringField(text, "config_digest", &spec->config_digest);
   if (ScrapeU64(text, "min_nodes", &u)) spec->scenario.min_nodes = u;
   if (ScrapeU64(text, "max_nodes", &u)) spec->scenario.max_nodes = u;
   if (ScrapeU64(text, "min_minutes", &u))

@@ -6,6 +6,8 @@
 #include <ostream>
 #include <sstream>
 
+#include "obs/json.hpp"
+
 namespace ethsim::obs {
 
 std::string_view MsgKindName(MsgKind kind) {
@@ -151,20 +153,8 @@ void MetricsRegistry::MergeFrom(const MetricsRegistry& other) {
   }
 }
 
-namespace {
-
-// Metric names contain only [A-Za-z0-9._{}=,-]; escape defensively anyway.
-void WriteJsonString(std::ostream& out, std::string_view s) {
-  out << '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out << '\\';
-    out << c;
-  }
-  out << '"';
-}
-
-}  // namespace
-
+// Metric names contain only [A-Za-z0-9._{}=,-]; WriteJsonString escapes
+// defensively anyway.
 void MetricsRegistry::WriteJsonl(std::ostream& out) const {
   for (const auto& [name, counter] : counters_) {
     out << "{\"type\":\"counter\",\"name\":";

@@ -20,13 +20,12 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <numeric>
+#include <type_traits>
 #include <utility>
 
+#include "obs/columnar.hpp"
 #include "obs/diag.hpp"
 #include "obs/metrics.hpp"
 
@@ -38,45 +37,25 @@ constexpr char kMagic[8] = {'E', 'T', 'H', 'P', 'R', 'O', 'V', '1'};
 constexpr std::uint32_t kFormatVersion = 1;
 constexpr std::uint8_t kUnknownRegion = 0xff;
 
-// How many individual violations get a log line before we go quiet (the
-// counters keep the full tally either way).
-constexpr std::uint64_t kMaxLoggedViolations = 16;
-
 std::uint64_t PairKey(std::uint32_t from, std::uint32_t to) {
   return (static_cast<std::uint64_t>(from) << 32) | to;
 }
 
-template <typename T>
-void WriteColumn(std::ofstream& out, const std::vector<T>& column) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  out.write(reinterpret_cast<const char*>(column.data()),
-            static_cast<std::streamsize>(column.size() * sizeof(T)));
-}
-
-template <typename T>
-bool ReadColumn(std::ifstream& in, std::vector<T>& column, std::size_t count) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  column.resize(count);
-  in.read(reinterpret_cast<char*>(column.data()),
-          static_cast<std::streamsize>(count * sizeof(T)));
-  return in.good() || (count == 0 && !in.bad());
-}
-
-template <typename T>
-void WriteScalar(std::ofstream& out, T value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  out.write(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-bool ReadScalar(std::ifstream& in, T* value) {
-  in.read(reinterpret_cast<char*>(value), sizeof(T));
-  return in.good();
-}
-
-bool Fail(std::string* error, std::string message) {
-  if (error != nullptr) *error = std::move(message);
-  return false;
+// The per-edge columns in artifact order: the one list WriteBinary,
+// ReadBinary and the Finish() reorder all walk.
+template <typename Log, typename F>
+void ForEachEdgeColumn(Log& log, F&& f) {
+  f(log.send_us);
+  f(log.arrival_us);
+  f(log.from);
+  f(log.to);
+  f(log.object);
+  f(log.parent);
+  f(log.number);
+  f(log.bytes);
+  f(log.hop);
+  f(log.kind);
+  f(log.drop);
 }
 
 }  // namespace
@@ -168,102 +147,36 @@ void ProvenanceLog::Append(const EdgeRecord& record) {
 //   u8       drop[edge_count]
 bool ProvenanceLog::WriteBinary(const std::string& path,
                                 std::string* error) const {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Fail(error, "cannot open " + path + " for writing");
-  out.write(kMagic, sizeof(kMagic));
-  WriteScalar(out, kFormatVersion);
-  WriteScalar(out, static_cast<std::uint32_t>(host_region.size()));
-  WriteScalar(out, static_cast<std::uint64_t>(size()));
-  WriteScalar(out, end_us);
-  WriteColumn(out, host_region);
-  WriteColumn(out, send_us);
-  WriteColumn(out, arrival_us);
-  WriteColumn(out, from);
-  WriteColumn(out, to);
-  WriteColumn(out, object);
-  WriteColumn(out, parent);
-  WriteColumn(out, number);
-  WriteColumn(out, bytes);
-  WriteColumn(out, hop);
-  WriteColumn(out, kind);
-  WriteColumn(out, drop);
-  out.flush();
-  if (!out.good()) return Fail(error, "short write to " + path);
-  return true;
+  ColumnWriter out(path, error);
+  if (!out.Header(kMagic, kFormatVersion)) return false;
+  out.Scalar(static_cast<std::uint32_t>(host_region.size()));
+  out.Scalar(static_cast<std::uint64_t>(size()));
+  out.Scalar(end_us);
+  out.Column(host_region);
+  ForEachEdgeColumn(*this, [&out](const auto& column) { out.Column(column); });
+  return out.Close();
 }
 
 bool ProvenanceLog::ReadBinary(const std::string& path, ProvenanceLog* out,
                                std::string* error) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Fail(error, "cannot open " + path);
-  char magic[8];
-  in.read(magic, sizeof(magic));
-  if (!in.good() || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    return Fail(error, path + ": bad magic (not a provenance.bin artifact)");
-  }
-  std::uint32_t version = 0;
+  ColumnReader in(path, error);
+  if (!in.Header(kMagic, kFormatVersion, "provenance.bin")) return false;
   std::uint32_t host_count = 0;
   std::uint64_t edge_count = 0;
-  if (!ReadScalar(in, &version)) return Fail(error, path + ": truncated header");
-  if (version != kFormatVersion) {
-    return Fail(error, path + ": unsupported format version " +
-                           std::to_string(version));
+  if (!in.Scalar(&host_count) || !in.Scalar(&edge_count) ||
+      !in.Scalar(&out->end_us)) {
+    return in.Fail("truncated header");
   }
-  if (!ReadScalar(in, &host_count) || !ReadScalar(in, &edge_count) ||
-      !ReadScalar(in, &out->end_us)) {
-    return Fail(error, path + ": truncated header");
-  }
-  const auto count = static_cast<std::size_t>(edge_count);
-  if (!ReadColumn(in, out->host_region, host_count) ||
-      !ReadColumn(in, out->send_us, count) ||
-      !ReadColumn(in, out->arrival_us, count) ||
-      !ReadColumn(in, out->from, count) || !ReadColumn(in, out->to, count) ||
-      !ReadColumn(in, out->object, count) ||
-      !ReadColumn(in, out->parent, count) ||
-      !ReadColumn(in, out->number, count) ||
-      !ReadColumn(in, out->bytes, count) || !ReadColumn(in, out->hop, count) ||
-      !ReadColumn(in, out->kind, count) || !ReadColumn(in, out->drop, count)) {
-    return Fail(error, path + ": truncated column data");
-  }
-  return true;
+  bool ok = in.Column(&out->host_region, host_count);
+  ForEachEdgeColumn(*out, [&](auto& column) {
+    ok = ok && in.Column(&column, edge_count);
+  });
+  if (!ok) return in.Fail("truncated column data");
+  return in.End();
 }
 
 // ---------------------------------------------------------------------------
 // InvariantChecker
-
-InvariantChecker::InvariantChecker(bool fatal) : fatal_(fatal) {}
-
-void InvariantChecker::AttachMetrics(MetricsRegistry* metrics) {
-  if (metrics == nullptr) return;
-  for (std::size_t i = 0; i < kInvariantCheckCount; ++i) {
-    const auto check = static_cast<InvariantCheck>(i);
-    counters_[i] = metrics->GetCounter(LabeledName(
-        "provenance.violation", {{"check", InvariantCheckName(check)}}));
-  }
-}
-
-void InvariantChecker::Violate(InvariantCheck check, std::string detail) {
-  ++total_;
-  ++by_check_[static_cast<std::size_t>(check)];
-  if (Counter* c = counters_[static_cast<std::size_t>(check)]) c->Add();
-  if (handler_) {
-    handler_(check, detail);
-    return;
-  }
-  if (total_ <= kMaxLoggedViolations) {
-    LogWarn("provenance", "invariant %s violated: %s",
-            std::string(InvariantCheckName(check)).c_str(), detail.c_str());
-    if (total_ == kMaxLoggedViolations) {
-      LogWarn("provenance",
-              "further invariant violations will be counted but not logged");
-    }
-  }
-  if (fatal_) {
-    LogError("provenance", "aborting on invariant violation (%s): %s",
-             std::string(InvariantCheckName(check)).c_str(), detail.c_str());
-    std::abort();
-  }
-}
 
 void InvariantChecker::OnOrigin(std::uint32_t host, std::uint64_t object,
                                 bool already_seen) {
@@ -326,9 +239,8 @@ void InvariantChecker::OnDelivery(std::uint32_t to, bool node_online,
 // ProvenanceRecorder
 
 ProvenanceRecorder::ProvenanceRecorder(ProvenanceConfig config)
-    : config_(config), checker_impl_(config.fatal_invariants) {
+    : config_(config), checker_(config.fatal_invariants) {
   if (config_.ring_capacity == 0) config_.ring_capacity = 1;
-  checker_.checker = &checker_impl_;
 }
 
 void ProvenanceRecorder::AttachMetrics(MetricsRegistry* metrics) {
@@ -338,7 +250,7 @@ void ProvenanceRecorder::AttachMetrics(MetricsRegistry* metrics) {
     edge_count_[i] = metrics->GetCounter(
         LabeledName("provenance.edge", {{"kind", EdgeKindName(kind)}}));
   }
-  checker_impl_.AttachMetrics(metrics);
+  checker_.AttachMetrics(metrics);
 }
 
 void ProvenanceRecorder::RegisterHost(std::uint32_t host, std::uint8_t region) {
@@ -385,7 +297,7 @@ void ProvenanceRecorder::RecordOrigin(std::uint32_t host, const Hash32& hash,
   const std::uint64_t object = hash.prefix_u64();
   auto& first = objects_[object].first_seen;
   const bool already_seen = first.count(host) != 0;
-  checker_impl_.OnOrigin(host, object, already_seen);
+  checker_.OnOrigin(host, object, already_seen);
   if (!already_seen) first.emplace(host, FirstSeen{now_us, 0});
   Host(host).known_parents.insert(parent.prefix_u64());
 
@@ -454,9 +366,9 @@ void ProvenanceRecorder::StageBlockEdge(std::uint32_t from, std::uint32_t to,
   if (kind == EdgeKind::kGetBlock) {
     const bool parent_known =
         Host(from).known_parents.count(object) != 0;
-    checker_impl_.OnFetchStage(from, object, sender_seen, parent_known);
+    checker_.OnFetchStage(from, object, sender_seen, parent_known);
   } else {
-    checker_impl_.OnBlockRelayStage(kind, from, object, sender_seen, now_us,
+    checker_.OnBlockRelayStage(kind, from, object, sender_seen, now_us,
                                     seen_arrival);
   }
   staged_active_ = true;
@@ -543,7 +455,7 @@ void ProvenanceRecorder::ResolveDelivery(std::uint32_t from, std::uint32_t to,
     late_drops_.emplace_back(delivery.seq, EdgeDrop::kOffline);
     return;
   }
-  checker_impl_.OnDelivery(to, online, Host(to).marked_down);
+  checker_.OnDelivery(to, online, Host(to).marked_down);
   (void)now_us;
 }
 
@@ -585,37 +497,15 @@ const ProvenanceLog& ProvenanceRecorder::Finish() {
   // seq -> final row index for late-drop patching.
   std::unordered_map<std::uint64_t, std::size_t> row_of_seq;
   row_of_seq.reserve(n);
-
-  ProvenanceLog sorted;
-  sorted.host_region = std::move(log_.host_region);
-  sorted.end_us = end_us_;
-  sorted.send_us.reserve(n);
-  sorted.arrival_us.reserve(n);
-  sorted.from.reserve(n);
-  sorted.to.reserve(n);
-  sorted.object.reserve(n);
-  sorted.parent.reserve(n);
-  sorted.number.reserve(n);
-  sorted.bytes.reserve(n);
-  sorted.hop.reserve(n);
-  sorted.kind.reserve(n);
-  sorted.drop.reserve(n);
-  for (std::size_t rank = 0; rank < n; ++rank) {
-    const std::size_t i = order[rank];
-    row_of_seq.emplace(seqs_[i], rank);
-    sorted.send_us.push_back(log_.send_us[i]);
-    sorted.arrival_us.push_back(log_.arrival_us[i]);
-    sorted.from.push_back(log_.from[i]);
-    sorted.to.push_back(log_.to[i]);
-    sorted.object.push_back(log_.object[i]);
-    sorted.parent.push_back(log_.parent[i]);
-    sorted.number.push_back(log_.number[i]);
-    sorted.bytes.push_back(log_.bytes[i]);
-    sorted.hop.push_back(log_.hop[i]);
-    sorted.kind.push_back(log_.kind[i]);
-    sorted.drop.push_back(log_.drop[i]);
-  }
-  log_ = std::move(sorted);
+  for (std::size_t rank = 0; rank < n; ++rank)
+    row_of_seq.emplace(seqs_[order[rank]], rank);
+  ForEachEdgeColumn(log_, [&order](auto& column) {
+    std::remove_reference_t<decltype(column)> sorted;
+    sorted.reserve(order.size());
+    for (const std::size_t i : order) sorted.push_back(column[i]);
+    column = std::move(sorted);
+  });
+  log_.end_us = end_us_;
   seqs_.clear();
   seqs_.shrink_to_fit();
 

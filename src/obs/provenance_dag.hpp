@@ -44,7 +44,6 @@
 #include <array>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -52,11 +51,9 @@
 #include <vector>
 
 #include "common/types.hpp"
+#include "obs/violation_reporter.hpp"
 
 namespace ethsim::obs {
-
-class MetricsRegistry;
-class Counter;
 
 // Edge kinds. kOrigin is the mint/injection pseudo-edge (from == to); the
 // rest mirror the wire messages of the simplified eth/63 protocol.
@@ -140,8 +137,9 @@ struct ProvenanceLog {
   }
 
   // Compact columnar artifact IO (provenance.bin, magic "ETHPROV1",
-  // little-endian fixed-width columns; see WriteBinary for the layout).
-  // Both return false and fill `error` (when non-null) on failure.
+  // little-endian fixed-width columns through obs/columnar; see WriteBinary
+  // for the layout). Both return false and fill `error` (when non-null) on
+  // failure.
   bool WriteBinary(const std::string& path, std::string* error = nullptr) const;
   static bool ReadBinary(const std::string& path, ProvenanceLog* out,
                          std::string* error = nullptr);
@@ -158,18 +156,18 @@ enum class InvariantCheck : std::uint8_t {
 inline constexpr std::size_t kInvariantCheckCount = 5;
 std::string_view InvariantCheckName(InvariantCheck check);
 
-// Policy + counters for stream invariants. The recorder feeds it pre-digested
-// facts (does the sender have a first-seen record? when did it arrive?), so
-// the checker holds no per-object state of its own and can be unit-tested by
-// direct calls. `fatal` escalates every violation to the handler's abort
-// path (ETHSIM_PROVENANCE=strict).
-class InvariantChecker {
+// Fact hooks for stream invariants. The recorder feeds it pre-digested facts
+// (does the sender have a first-seen record? when did it arrive?), so the
+// checker holds no per-object state of its own and can be unit-tested by
+// direct calls. Counting, logging, the provenance.violation{check=...}
+// counters and the abort when `fatal` (ETHSIM_PROVENANCE=strict) come from
+// the shared ViolationReporter.
+class InvariantChecker
+    : public ViolationReporter<InvariantCheck, kInvariantCheckCount,
+                               InvariantCheckName> {
  public:
-  explicit InvariantChecker(bool fatal);
-
-  // Wires provenance.violation{check=...} counters (eagerly, one per check,
-  // so the metrics stream shape is a function of config alone).
-  void AttachMetrics(MetricsRegistry* metrics);
+  explicit InvariantChecker(bool fatal)
+      : ViolationReporter("provenance", "provenance.violation", fatal) {}
 
   // Fact hooks (called by the recorder).
   void OnOrigin(std::uint32_t host, std::uint64_t object, bool already_seen);
@@ -180,24 +178,6 @@ class InvariantChecker {
   void OnFetchStage(std::uint32_t from, std::uint64_t object, bool heard,
                     bool parent_known);
   void OnDelivery(std::uint32_t to, bool node_online, bool host_marked_down);
-
-  std::uint64_t total() const { return total_; }
-  const std::array<std::uint64_t, kInvariantCheckCount>& by_check() const {
-    return by_check_;
-  }
-
-  // Test hook: replaces the default handler (LogWarn, abort when fatal).
-  using Handler = std::function<void(InvariantCheck, const std::string&)>;
-  void set_handler(Handler handler) { handler_ = std::move(handler); }
-
- private:
-  void Violate(InvariantCheck check, std::string detail);
-
-  bool fatal_;
-  std::uint64_t total_ = 0;
-  std::array<std::uint64_t, kInvariantCheckCount> by_check_{};
-  std::array<Counter*, kInvariantCheckCount> counters_{};
-  Handler handler_;
 };
 
 struct ProvenanceConfig {
@@ -256,9 +236,9 @@ class ProvenanceRecorder {
   bool WriteArtifact(const std::string& dir, std::string* error = nullptr);
 
   std::uint64_t edges_recorded() const { return next_seq_; }
-  std::uint64_t violations() const { return checker_.violations_total(); }
-  InvariantChecker& checker() { return checker_impl_; }
-  const InvariantChecker& checker() const { return checker_impl_; }
+  std::uint64_t violations() const { return checker_.total(); }
+  InvariantChecker& checker() { return checker_; }
+  const InvariantChecker& checker() const { return checker_; }
 
   // The depth at which `host` first saw `object` (its first-seen record);
   // false when the host never heard of it. Exposed for tests.
@@ -286,12 +266,6 @@ class ProvenanceRecorder {
     EdgeKind kind;
   };
 
-  // Small shim so the public violations() accessor reads naturally.
-  struct CheckerHandle {
-    const InvariantChecker* checker = nullptr;
-    std::uint64_t violations_total() const { return checker->total(); }
-  };
-
   HostState& Host(std::uint32_t host);
   void CommitStaged(std::int64_t arrival_us, EdgeDrop drop);
   void AppendRecord(const EdgeRecord& record);
@@ -302,8 +276,7 @@ class ProvenanceRecorder {
                      std::int64_t arrival_us, std::uint16_t depth);
 
   ProvenanceConfig config_;
-  InvariantChecker checker_impl_;
-  CheckerHandle checker_;
+  InvariantChecker checker_;
 
   // Staged-but-unfinalized edge (at most one; stage and finalize bracket a
   // single Network::Send call).

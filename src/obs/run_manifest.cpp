@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "obs/diag.hpp"
+#include "obs/json.hpp"
 
 #ifndef ETHSIM_GIT_SHA
 #define ETHSIM_GIT_SHA "unknown"
@@ -26,15 +27,6 @@ std::string CompilerId() {
 #else
   return "unknown";
 #endif
-}
-
-void WriteJsonString(std::ostream& out, const std::string& s) {
-  out << '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out << '\\';
-    out << c;
-  }
-  out << '"';
 }
 
 }  // namespace

@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
+#include <utility>
+
+#include "obs/columnar.hpp"
 
 namespace ethsim::obs {
 
@@ -13,44 +14,17 @@ namespace {
 constexpr char kMagic[8] = {'E', 'T', 'H', 'T', 'S', '1', '\0', '\0'};
 constexpr std::uint32_t kFormatVersion = 1;
 
-bool Fail(std::string* error, std::string message) {
-  if (error != nullptr) *error = std::move(message);
-  return false;
-}
+constexpr std::uint32_t kMaxNameLength = 4096;
 
-template <typename T>
-void WriteScalar(std::ostream& out, T value) {
-  // Little-endian, byte by byte: the artifact layout is independent of host
-  // endianness (same idiom as provenance_dag).
-  unsigned char buf[sizeof(T)];
-  auto bits = static_cast<std::uint64_t>(value);
-  for (std::size_t i = 0; i < sizeof(T); ++i) {
-    buf[i] = static_cast<unsigned char>(bits & 0xff);
-    bits >>= 8;
-  }
-  out.write(reinterpret_cast<const char*>(buf), sizeof(T));
-}
-
-template <typename T>
-bool ReadScalar(std::istream& in, T* value) {
-  unsigned char buf[sizeof(T)];
-  in.read(reinterpret_cast<char*>(buf), sizeof(T));
-  if (!in.good()) return false;
-  std::uint64_t bits = 0;
-  for (std::size_t i = sizeof(T); i-- > 0;) bits = (bits << 8) | buf[i];
-  *value = static_cast<T>(bits);
-  return true;
-}
-
-void WriteColumn(std::ostream& out, const std::vector<std::int64_t>& column) {
-  for (const std::int64_t value : column) WriteScalar(out, value);
-}
-
-bool ReadColumn(std::istream& in, std::vector<std::int64_t>& column,
-                std::size_t count) {
-  column.resize(count);
-  for (std::size_t i = 0; i < count; ++i)
-    if (!ReadScalar(in, &column[i])) return false;
+// The sample columns in artifact order (the shared time column, then one
+// value column per series), each with the section name its truncation
+// diagnostic reports: the one list WriteBinary and ReadBinary both walk.
+// `f` returns false to stop the walk.
+template <typename Log, typename F>
+bool ForEachColumn(Log& log, F&& f) {
+  if (!f(log.t_us, "time column")) return false;
+  for (auto& column : log.values)
+    if (!f(column, "value columns")) return false;
   return true;
 }
 
@@ -84,61 +58,48 @@ bool TimeSeriesLog::Accumulate(const TimeSeriesLog& other) {
 
 bool TimeSeriesLog::WriteBinary(const std::string& path,
                                 std::string* error) const {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Fail(error, "cannot open " + path + " for writing");
-  out.write(kMagic, sizeof(kMagic));
-  WriteScalar(out, kFormatVersion);
-  WriteScalar(out, static_cast<std::uint32_t>(names.size()));
-  WriteScalar(out, static_cast<std::uint64_t>(t_us.size()));
-  WriteScalar(out, interval_us);
+  ColumnWriter out(path, error);
+  if (!out.Header(kMagic, kFormatVersion)) return false;
+  out.Scalar(static_cast<std::uint32_t>(names.size()));
+  out.Scalar(static_cast<std::uint64_t>(t_us.size()));
+  out.Scalar(interval_us);
   for (const std::string& name : names) {
-    WriteScalar(out, static_cast<std::uint32_t>(name.size()));
-    out.write(name.data(), static_cast<std::streamsize>(name.size()));
+    out.Scalar(static_cast<std::uint32_t>(name.size()));
+    out.Bytes(name);
   }
-  WriteColumn(out, t_us);
-  for (const auto& column : values) WriteColumn(out, column);
-  out.flush();
-  if (!out.good()) return Fail(error, "short write to " + path);
-  return true;
+  ForEachColumn(*this, [&out](const auto& column, const char*) {
+    out.Column(column);
+    return true;
+  });
+  return out.Close();
 }
 
 bool TimeSeriesLog::ReadBinary(const std::string& path, TimeSeriesLog* out,
                                std::string* error) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Fail(error, "cannot open " + path);
-  char magic[8];
-  in.read(magic, sizeof(magic));
-  if (!in.good() || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0)
-    return Fail(error, path + ": bad magic (not a timeseries.bin artifact)");
-  std::uint32_t version = 0;
+  ColumnReader in(path, error);
+  if (!in.Header(kMagic, kFormatVersion, "timeseries.bin")) return false;
   std::uint32_t series_count = 0;
   std::uint64_t sample_count = 0;
-  if (!ReadScalar(in, &version)) return Fail(error, path + ": truncated header");
-  if (version != kFormatVersion)
-    return Fail(error, path + ": unsupported format version " +
-                           std::to_string(version));
-  if (!ReadScalar(in, &series_count) || !ReadScalar(in, &sample_count) ||
-      !ReadScalar(in, &out->interval_us))
-    return Fail(error, path + ": truncated header");
+  if (!in.Scalar(&series_count) || !in.Scalar(&sample_count) ||
+      !in.Scalar(&out->interval_us))
+    return in.Fail("truncated header");
+  // No reserve by the claimed count: the table grows only as names parse.
   out->names.clear();
-  out->names.reserve(series_count);
   for (std::uint32_t s = 0; s < series_count; ++s) {
     std::uint32_t length = 0;
-    if (!ReadScalar(in, &length) || length > 4096)
-      return Fail(error, path + ": truncated series name table");
-    std::string name(length, '\0');
-    in.read(name.data(), length);
-    if (!in.good()) return Fail(error, path + ": truncated series name table");
+    std::string name;
+    if (!in.Scalar(&length) || length > kMaxNameLength ||
+        !in.String(&name, length))
+      return in.Fail("truncated series name table");
     out->names.push_back(std::move(name));
   }
-  const auto count = static_cast<std::size_t>(sample_count);
-  if (!ReadColumn(in, out->t_us, count))
-    return Fail(error, path + ": truncated time column");
   out->values.assign(series_count, {});
-  for (auto& column : out->values)
-    if (!ReadColumn(in, column, count))
-      return Fail(error, path + ": truncated value columns");
-  return true;
+  if (!ForEachColumn(*out, [&](auto& column, const char* section) {
+        return in.Column(&column, sample_count) ||
+               in.Fail(std::string("truncated ") + section);
+      }))
+    return false;
+  return in.End();
 }
 
 StateSampler::StateSampler(std::int64_t interval_us)

@@ -35,9 +35,10 @@ namespace ethsim::obs {
 //   then per series: u32 name length + name bytes (no terminator)
 //   then the shared time column: i64 t_us[sample_count]
 //   then per series, in name-table order: i64 value[sample_count]
-// Everything little-endian, fixed-width. All series share the one time
-// column (samples are taken synchronously), which is what makes window
-// slicing and cross-series alignment trivial downstream.
+// Everything little-endian, fixed-width, through obs/columnar; a series name
+// is at most 4096 bytes. All series share the one time column (samples are
+// taken synchronously), which is what makes window slicing and cross-series
+// alignment trivial downstream.
 struct TimeSeriesLog {
   std::int64_t interval_us = 0;
   std::vector<std::string> names;

@@ -4,6 +4,8 @@
 #include <ostream>
 #include <sstream>
 
+#include "obs/json.hpp"
+
 namespace ethsim::obs {
 
 std::string_view TraceCategoryName(TraceCategory cat) {
@@ -71,15 +73,6 @@ std::vector<TraceEvent> Tracer::Events() const {
 }
 
 namespace {
-
-void WriteJsonString(std::ostream& out, std::string_view s) {
-  out << '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out << '\\';
-    out << c;
-  }
-  out << '"';
-}
 
 void WriteEvent(std::ostream& out, const TraceEvent& e) {
   out << "{\"name\":";

@@ -14,13 +14,10 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <utility>
 
-#include "obs/diag.hpp"
+#include "obs/columnar.hpp"
 #include "obs/metrics.hpp"
 
 namespace ethsim::obs {
@@ -31,41 +28,17 @@ constexpr char kMagic[8] = {'E', 'T', 'H', 'T', 'X', '1', '\0', '\0'};
 constexpr std::uint32_t kFormatVersion = 1;
 constexpr std::uint8_t kUnknownRegion = 0xff;
 
-// How many individual violations get a log line before we go quiet (the
-// counters keep the full tally either way).
-constexpr std::uint64_t kMaxLoggedViolations = 16;
-
-template <typename T>
-void WriteColumn(std::ofstream& out, const std::vector<T>& column) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  out.write(reinterpret_cast<const char*>(column.data()),
-            static_cast<std::streamsize>(column.size() * sizeof(T)));
-}
-
-template <typename T>
-bool ReadColumn(std::ifstream& in, std::vector<T>& column, std::size_t count) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  column.resize(count);
-  in.read(reinterpret_cast<char*>(column.data()),
-          static_cast<std::streamsize>(count * sizeof(T)));
-  return in.good() || (count == 0 && !in.bad());
-}
-
-template <typename T>
-void WriteScalar(std::ofstream& out, T value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  out.write(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-bool ReadScalar(std::ifstream& in, T* value) {
-  in.read(reinterpret_cast<char*>(value), sizeof(T));
-  return in.good();
-}
-
-bool Fail(std::string* error, std::string message) {
-  if (error != nullptr) *error = std::move(message);
-  return false;
+// The per-record columns in artifact order: the one list WriteBinary and
+// ReadBinary both walk.
+template <typename Log, typename F>
+void ForEachRecordColumn(Log& log, F&& f) {
+  f(log.t_us);
+  f(log.tx);
+  f(log.host);
+  f(log.stage);
+  f(log.info);
+  f(log.aux);
+  f(log.number);
 }
 
 }  // namespace
@@ -156,102 +129,41 @@ void TxProvLog::Append(const TxStageRecord& record) {
 //   u64      aux[record_count]
 //   u64      number[record_count]
 bool TxProvLog::WriteBinary(const std::string& path, std::string* error) const {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Fail(error, "cannot open " + path + " for writing");
-  out.write(kMagic, sizeof(kMagic));
-  WriteScalar(out, kFormatVersion);
-  WriteScalar(out, static_cast<std::uint32_t>(host_region.size()));
-  WriteScalar(out, static_cast<std::uint32_t>(depths.size()));
-  WriteScalar(out, static_cast<std::uint64_t>(size()));
-  WriteScalar(out, end_us);
-  WriteColumn(out, host_region);
-  WriteColumn(out, depths);
-  WriteColumn(out, t_us);
-  WriteColumn(out, tx);
-  WriteColumn(out, host);
-  WriteColumn(out, stage);
-  WriteColumn(out, info);
-  WriteColumn(out, aux);
-  WriteColumn(out, number);
-  out.flush();
-  if (!out.good()) return Fail(error, "short write to " + path);
-  return true;
+  ColumnWriter out(path, error);
+  if (!out.Header(kMagic, kFormatVersion)) return false;
+  out.Scalar(static_cast<std::uint32_t>(host_region.size()));
+  out.Scalar(static_cast<std::uint32_t>(depths.size()));
+  out.Scalar(static_cast<std::uint64_t>(size()));
+  out.Scalar(end_us);
+  out.Column(host_region);
+  out.Column(depths);
+  ForEachRecordColumn(*this,
+                      [&out](const auto& column) { out.Column(column); });
+  return out.Close();
 }
 
 bool TxProvLog::ReadBinary(const std::string& path, TxProvLog* out,
                            std::string* error) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Fail(error, "cannot open " + path);
-  char magic[8];
-  in.read(magic, sizeof(magic));
-  if (!in.good() || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    return Fail(error, path + ": bad magic (not a txprov.bin artifact)");
-  }
-  std::uint32_t version = 0;
+  ColumnReader in(path, error);
+  if (!in.Header(kMagic, kFormatVersion, "txprov.bin")) return false;
   std::uint32_t host_count = 0;
   std::uint32_t depth_count = 0;
   std::uint64_t record_count = 0;
-  if (!ReadScalar(in, &version)) return Fail(error, path + ": truncated header");
-  if (version != kFormatVersion) {
-    return Fail(error, path + ": unsupported format version " +
-                           std::to_string(version));
+  if (!in.Scalar(&host_count) || !in.Scalar(&depth_count) ||
+      !in.Scalar(&record_count) || !in.Scalar(&out->end_us)) {
+    return in.Fail("truncated header");
   }
-  if (!ReadScalar(in, &host_count) || !ReadScalar(in, &depth_count) ||
-      !ReadScalar(in, &record_count) || !ReadScalar(in, &out->end_us)) {
-    return Fail(error, path + ": truncated header");
-  }
-  const auto count = static_cast<std::size_t>(record_count);
-  if (!ReadColumn(in, out->host_region, host_count) ||
-      !ReadColumn(in, out->depths, depth_count) ||
-      !ReadColumn(in, out->t_us, count) || !ReadColumn(in, out->tx, count) ||
-      !ReadColumn(in, out->host, count) ||
-      !ReadColumn(in, out->stage, count) ||
-      !ReadColumn(in, out->info, count) || !ReadColumn(in, out->aux, count) ||
-      !ReadColumn(in, out->number, count)) {
-    return Fail(error, path + ": truncated column data");
-  }
-  // Exact-size check: nothing may trail the last column.
-  in.peek();
-  if (!in.eof()) return Fail(error, path + ": trailing bytes after columns");
-  return true;
+  bool ok = in.Column(&out->host_region, host_count) &&
+            in.Column(&out->depths, depth_count);
+  ForEachRecordColumn(*out, [&](auto& column) {
+    ok = ok && in.Column(&column, record_count);
+  });
+  if (!ok) return in.Fail("truncated column data");
+  return in.End();
 }
 
 // ---------------------------------------------------------------------------
 // TxInvariantChecker
-
-TxInvariantChecker::TxInvariantChecker(bool fatal) : fatal_(fatal) {}
-
-void TxInvariantChecker::AttachMetrics(MetricsRegistry* metrics) {
-  if (metrics == nullptr) return;
-  for (std::size_t i = 0; i < kTxInvariantCount; ++i) {
-    const auto check = static_cast<TxInvariant>(i);
-    counters_[i] = metrics->GetCounter(
-        LabeledName("txprov.violation", {{"check", TxInvariantName(check)}}));
-  }
-}
-
-void TxInvariantChecker::Violate(TxInvariant check, std::string detail) {
-  ++total_;
-  ++by_check_[static_cast<std::size_t>(check)];
-  if (Counter* c = counters_[static_cast<std::size_t>(check)]) c->Add();
-  if (handler_) {
-    handler_(check, detail);
-    return;
-  }
-  if (total_ <= kMaxLoggedViolations) {
-    LogWarn("txprov", "invariant %s violated: %s",
-            std::string(TxInvariantName(check)).c_str(), detail.c_str());
-    if (total_ == kMaxLoggedViolations) {
-      LogWarn("txprov",
-              "further invariant violations will be counted but not logged");
-    }
-  }
-  if (fatal_) {
-    LogError("txprov", "aborting on invariant violation (%s): %s",
-             std::string(TxInvariantName(check)).c_str(), detail.c_str());
-    std::abort();
-  }
-}
 
 void TxInvariantChecker::OnStage(TxStage stage, std::uint64_t tx,
                                  std::int64_t t_us, std::int64_t last_t_us) {

@@ -44,7 +44,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <string_view>
@@ -52,11 +51,9 @@
 #include <vector>
 
 #include "common/types.hpp"
+#include "obs/violation_reporter.hpp"
 
 namespace ethsim::obs {
-
-class MetricsRegistry;
-class Counter;
 
 // Lifecycle stages. The `info`/`aux`/`number` columns are stage-specific;
 // see each enumerator.
@@ -126,8 +123,8 @@ struct TxProvLog {
   void Append(const TxStageRecord& record);
 
   // Compact columnar artifact IO (txprov.bin, magic "ETHTX1", little-endian
-  // fixed-width columns; see WriteBinary for the layout). Both return false
-  // and fill `error` (when non-null) on failure.
+  // fixed-width columns through obs/columnar; see WriteBinary for the
+  // layout). Both return false and fill `error` (when non-null) on failure.
   bool WriteBinary(const std::string& path, std::string* error = nullptr) const;
   static bool ReadBinary(const std::string& path, TxProvLog* out,
                          std::string* error = nullptr);
@@ -143,18 +140,18 @@ enum class TxInvariant : std::uint8_t {
 inline constexpr std::size_t kTxInvariantCount = 4;
 std::string_view TxInvariantName(TxInvariant check);
 
-// Policy + counters for the stream invariants. The recorder feeds it
-// pre-digested facts (is this record's time monotone? was the tx ever
-// admitted?), so the checker holds no per-tx state of its own and can be
-// unit-tested by direct calls. `fatal` escalates every violation to abort
-// (ETHSIM_TXPROV=strict).
-class TxInvariantChecker {
+// Fact hooks for the stream invariants. The recorder feeds it pre-digested
+// facts (is this record's time monotone? was the tx ever admitted?), so the
+// checker holds no per-tx state of its own and can be unit-tested by direct
+// calls. Counting, logging, the txprov.violation{check=...} counters and the
+// abort when `fatal` (ETHSIM_TXPROV=strict) come from the shared
+// ViolationReporter.
+class TxInvariantChecker
+    : public ViolationReporter<TxInvariant, kTxInvariantCount,
+                               TxInvariantName> {
  public:
-  explicit TxInvariantChecker(bool fatal);
-
-  // Wires txprov.violation{check=...} counters (eagerly, one per check, so
-  // the metrics stream shape is a function of config alone).
-  void AttachMetrics(MetricsRegistry* metrics);
+  explicit TxInvariantChecker(bool fatal)
+      : ViolationReporter("txprov", "txprov.violation", fatal) {}
 
   // Fact hooks (called by the recorder).
   void OnStage(TxStage stage, std::uint64_t tx, std::int64_t t_us,
@@ -162,24 +159,6 @@ class TxInvariantChecker {
   void OnInclude(std::uint64_t tx, bool ever_admitted);
   void OnOrphanReturn(std::uint64_t tx, bool currently_included);
   void OnCommit(std::uint64_t tx, bool currently_included);
-
-  std::uint64_t total() const { return total_; }
-  const std::array<std::uint64_t, kTxInvariantCount>& by_check() const {
-    return by_check_;
-  }
-
-  // Test hook: replaces the default handler (LogWarn, abort when fatal).
-  using Handler = std::function<void(TxInvariant, const std::string&)>;
-  void set_handler(Handler handler) { handler_ = std::move(handler); }
-
- private:
-  void Violate(TxInvariant check, std::string detail);
-
-  bool fatal_;
-  std::uint64_t total_ = 0;
-  std::array<std::uint64_t, kTxInvariantCount> by_check_{};
-  std::array<Counter*, kTxInvariantCount> counters_{};
-  Handler handler_;
 };
 
 struct TxProvConfig {

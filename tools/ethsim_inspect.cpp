@@ -71,6 +71,7 @@
 #include "common/types.hpp"
 #include "net/geo.hpp"
 #include "obs/diag.hpp"
+#include "obs/json.hpp"
 #include "obs/provenance_dag.hpp"
 #include "obs/sampler.hpp"
 #include "obs/tx_provenance.hpp"
@@ -90,6 +91,8 @@ using ethsim::obs::EdgeDrop;
 using ethsim::obs::EdgeDropName;
 using ethsim::obs::EdgeKind;
 using ethsim::obs::EdgeKindName;
+using ethsim::obs::JsonEscape;
+using ethsim::obs::JsonStringField;
 using ethsim::obs::LogError;
 using ethsim::obs::ProvenanceLog;
 using ethsim::obs::SeriesWatermark;
@@ -127,71 +130,29 @@ std::string RegionName(const ProvenanceLog& log, std::uint32_t host) {
   return "?";
 }
 
-// Pulls "head_hash": "..." out of manifest.json without a JSON library —
-// the manifest writer emits exactly this shape.
-bool HeadHashFromManifest(const std::string& dir, std::string* hex) {
+// manifest.json as one string (empty when absent), read once per run of
+// the tool; the lookups below scrape it with obs::JsonStringField.
+std::string ReadManifest(const std::string& dir) {
   std::ifstream in(dir + "/manifest.json");
-  if (!in) return false;
-  std::string line;
-  while (std::getline(in, line)) {
-    const auto key = line.find("\"head_hash\"");
-    if (key == std::string::npos) continue;
-    const auto open = line.find('"', key + 11);
-    if (open == std::string::npos) continue;
-    const auto close = line.find('"', open + 1);
-    if (close == std::string::npos) continue;
-    *hex = line.substr(open + 1, close - open - 1);
-    return !hex->empty();
-  }
-  return false;
+  std::stringstream text;
+  text << in.rdbuf();
+  return text.str();
 }
 
-// Generic manifest extra lookup ("key": "value"), same line-scraping
-// approach as the head hash. Returns false when the key is absent.
-bool ManifestValue(const std::string& dir, const std::string& key,
-                   std::string* value) {
-  std::ifstream in(dir + "/manifest.json");
-  if (!in) return false;
-  const std::string quoted = "\"" + key + "\"";
-  std::string line;
-  while (std::getline(in, line)) {
-    const auto pos = line.find(quoted);
-    if (pos == std::string::npos) continue;
-    const auto open = line.find('"', pos + quoted.size());
-    if (open == std::string::npos) continue;
-    const auto close = line.find('"', open + 1);
-    if (close == std::string::npos) continue;
-    *value = line.substr(open + 1, close - open - 1);
-    return true;
-  }
-  return false;
-}
-
-// Executed partition windows ("partition_window.N": "start_us..end_us")
-// from the manifest extras, same line-scraping approach as the head hash.
-// Missing manifest or no windows is not an error — just empty context.
-std::vector<std::pair<std::int64_t, std::int64_t>> PartitionWindowsFromManifest(
-    const std::string& dir) {
+// Executed partition windows ("partition_window.N": "start_us..end_us",
+// numbered from 0) from the manifest extras. No windows is not an error —
+// just empty context.
+std::vector<std::pair<std::int64_t, std::int64_t>> PartitionWindows(
+    const std::string& manifest) {
   std::vector<std::pair<std::int64_t, std::int64_t>> windows;
-  std::ifstream in(dir + "/manifest.json");
-  if (!in) return windows;
-  std::string line;
-  while (std::getline(in, line)) {
-    std::size_t pos = 0;
-    while ((pos = line.find("\"partition_window.", pos)) != std::string::npos) {
-      const auto key_end = line.find('"', pos + 1);
-      if (key_end == std::string::npos) break;
-      const auto open = line.find('"', key_end + 1);
-      if (open == std::string::npos) break;
-      const auto close = line.find('"', open + 1);
-      if (close == std::string::npos) break;
-      const std::string value = line.substr(open + 1, close - open - 1);
-      char* rest = nullptr;
-      const std::int64_t start = std::strtoll(value.c_str(), &rest, 10);
-      if (rest != nullptr && rest[0] == '.' && rest[1] == '.')
-        windows.emplace_back(start, std::strtoll(rest + 2, nullptr, 10));
-      pos = close + 1;
-    }
+  std::string value;
+  for (std::size_t i = 0; JsonStringField(
+           manifest, "partition_window." + std::to_string(i), &value);
+       ++i) {
+    char* rest = nullptr;
+    const std::int64_t start = std::strtoll(value.c_str(), &rest, 10);
+    if (rest[0] == '.' && rest[1] == '.')
+      windows.emplace_back(start, std::strtoll(rest + 2, nullptr, 10));
   }
   return windows;
 }
@@ -199,11 +160,12 @@ std::vector<std::pair<std::int64_t, std::int64_t>> PartitionWindowsFromManifest(
 // Accepts a full 32-byte hex hash, a shorter hex prefix (>= 8 bytes / 16
 // chars resolves directly; shorter prefixes match against the log), or the
 // literal "head".
-bool ResolveObject(const std::string& dir, const ProvenanceLog& log,
-                   std::string token, std::uint64_t* object) {
+bool ResolveObject(const std::string& dir, const std::string& manifest,
+                   const ProvenanceLog& log, std::string token,
+                   std::uint64_t* object) {
   if (token == "head") {
     std::string hex;
-    if (!HeadHashFromManifest(dir, &hex)) {
+    if (!JsonStringField(manifest, "head_hash", &hex) || hex.empty()) {
       LogError("inspect",
                "cannot resolve 'head': no head_hash in %s/manifest.json",
                dir.c_str());
@@ -433,17 +395,6 @@ struct TimeSeriesQuery {
   bool csv = false;
 };
 
-// Minimal JSON string escaping (quotes and backslashes), matching the
-// manifest writer's own rules.
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
 int PrintWatermarks(const TimeSeriesLog& ts, bool json) {
   if (json) {
     std::printf("{\"watermarks\": [");
@@ -465,7 +416,7 @@ int PrintWatermarks(const TimeSeriesLog& ts, bool json) {
   return 0;
 }
 
-int PrintTimeSeries(const std::string& dir, const TimeSeriesLog& ts,
+int PrintTimeSeries(const std::string& manifest, const TimeSeriesLog& ts,
                     const TimeSeriesQuery& query) {
   const std::int64_t from_us =
       query.from_s < 0 ? std::numeric_limits<std::int64_t>::min()
@@ -516,7 +467,7 @@ int PrintTimeSeries(const std::string& dir, const TimeSeriesLog& ts,
   }
   // Print the executed fault windows next to the stats so an operator can
   // see at a glance whether a peak falls inside an outage.
-  const auto windows = PartitionWindowsFromManifest(dir);
+  const auto windows = PartitionWindows(manifest);
   for (std::size_t i = 0; i < windows.size(); ++i)
     std::printf("partition window %zu: %.1f .. %.1f sim-s\n", i,
                 static_cast<double>(windows[i].first) / 1e6,
@@ -691,9 +642,10 @@ std::vector<std::string> SplitSourceRow(const std::string& row) {
 
 // Per-source demand from the workload extras a plan-driven run folds into
 // its manifest ("workload_source.N" = "name:kind:submitted:included").
-int PrintDemand(const std::string& dir, bool json) {
+int PrintDemand(const std::string& dir, const std::string& manifest,
+                bool json) {
   std::string sources;
-  if (!ManifestValue(dir, "workload_sources", &sources)) {
+  if (!JsonStringField(manifest, "workload_sources", &sources)) {
     LogError("inspect",
              "no workload extras in %s/manifest.json (only runs driven by a "
              "non-empty WorkloadPlan record demand data)",
@@ -701,20 +653,21 @@ int PrintDemand(const std::string& dir, bool json) {
     return 1;
   }
   std::string submitted, replacements, completed, in_flight;
-  ManifestValue(dir, "workload_submitted", &submitted);
-  ManifestValue(dir, "workload_replacements", &replacements);
-  ManifestValue(dir, "workload_closed_loop_completed", &completed);
-  ManifestValue(dir, "workload_in_flight_end", &in_flight);
+  JsonStringField(manifest, "workload_submitted", &submitted);
+  JsonStringField(manifest, "workload_replacements", &replacements);
+  JsonStringField(manifest, "workload_closed_loop_completed", &completed);
+  JsonStringField(manifest, "workload_in_flight_end", &in_flight);
   const std::size_t count =
       static_cast<std::size_t>(std::strtoull(sources.c_str(), nullptr, 10));
 
   // Collect every row before printing anything: a missing row is a one-line
-  // stderr diagnostic and a nonzero exit, never a partial report.
+  // stderr diagnostic and a nonzero exit, never a partial report. The
+  // claimed count is not trusted for a reserve; rows grow as they are found.
   std::vector<std::vector<std::string>> rows;
-  rows.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     std::string row;
-    if (!ManifestValue(dir, "workload_source." + std::to_string(i), &row)) {
+    if (!JsonStringField(manifest, "workload_source." + std::to_string(i),
+                         &row)) {
       LogError("inspect", "manifest lists %zu sources but workload_source.%zu "
                "is missing", count, i);
       return 1;
@@ -816,8 +769,10 @@ int main(int argc, char** argv) {
     }
   }
 
+  const std::string manifest = ReadManifest(dir);
+
   // The demand query reads only manifest.json: no binary artifact needed.
-  if (want_demand) return PrintDemand(dir, json);
+  if (want_demand) return PrintDemand(dir, manifest, json);
 
   // Lifecycle queries read only txprov.bin: a run recorded without gossip
   // provenance still answers --tx / --stages.
@@ -855,7 +810,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     if (want_watermarks) return PrintWatermarks(ts, json);
-    return PrintTimeSeries(dir, ts, ts_query);
+    return PrintTimeSeries(manifest, ts, ts_query);
   }
 
   ProvenanceLog log;
@@ -878,7 +833,7 @@ int main(int argc, char** argv) {
       return 2;
     }
     std::uint64_t object = 0;
-    if (!ResolveObject(dir, log, block_token, &object)) return 1;
+    if (!ResolveObject(dir, manifest, log, block_token, &object)) return 1;
     return PrintTree(log, object);
   }
   if (want_timeline) {

@@ -10,7 +10,7 @@ Validates whichever artifacts exist in DIR (at least manifest.json must):
   manifest.json   ethsim-run-manifest-v1: required keys, hex digests
   metrics.jsonl   one JSON object per line; counter/gauge/histogram schemas
   trace.json      Chrome trace-event JSON: traceEvents list, per-event keys
-  profile.jsonl   sample / callback_histogram / phase records
+  profile.jsonl   sample / callback_histogram records
   provenance.bin  ETHPROV1 columnar relay-edge log: header, column sizes,
                   enum ranges, arrival/drop consistency
   timeseries.bin  ETHTS1 columnar state-sample log: header, name table,
@@ -190,7 +190,7 @@ def check_profile(path):
                 continue
             kind = record.get("type")
             kinds.add(kind)
-            if kind not in ("sample", "callback_histogram", "phase"):
+            if kind not in ("sample", "callback_histogram"):
                 fail(f"profile.jsonl:{lineno}: unknown record type {kind!r}")
     if "callback_histogram" not in kinds:
         fail("profile.jsonl has no callback_histogram record")
